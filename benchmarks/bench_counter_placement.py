@@ -13,7 +13,8 @@ from _shared import MICRO_CHARS, run_once, report
 
 from repro.core.brr import BranchOnRandomUnit
 from repro.timing.runner import overhead_percent, time_window
-from repro.workloads.microbench import END_MARKER, WARM_MARKER, build_microbench
+from repro.workloads import get_workload
+from repro.workloads.microbench import END_MARKER, WARM_MARKER
 
 CONFIGS = (
     ("cbs, counter in memory", dict(kind="cbs", counter_in_register=False)),
@@ -24,14 +25,15 @@ CONFIGS = (
 
 def run_placement(duplication, interval=1024):
     n_chars = min(MICRO_CHARS, 4000)
-    base = build_microbench(n_chars, variant="none", seed=3)
+    base = get_workload("microbench", n_chars=n_chars, variant="none",
+                        seed=3).raw
     base_t = time_window(base.program, begin=(WARM_MARKER, 1),
                          end=(END_MARKER, 1), setup=base.load_text)
     rows = []
     for label, kwargs in CONFIGS:
-        bench = build_microbench(n_chars, variant=duplication,
-                                 interval=interval, include_payload=False,
-                                 seed=3, **kwargs)
+        bench = get_workload("microbench", n_chars=n_chars,
+                             variant=duplication, interval=interval,
+                             include_payload=False, seed=3, **kwargs).raw
         unit = BranchOnRandomUnit() if kwargs["kind"] == "brr" else None
         timed = time_window(bench.program, begin=(WARM_MARKER, 1),
                             end=(END_MARKER, 1), setup=bench.load_text,

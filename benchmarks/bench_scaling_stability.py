@@ -13,21 +13,24 @@ from _shared import run_once, report
 from repro.core.brr import BranchOnRandomUnit
 from repro.core.lfsr import Lfsr
 from repro.timing.runner import cycles_per_site, time_window
-from repro.workloads.microbench import END_MARKER, WARM_MARKER, build_microbench
+from repro.workloads import get_workload
+from repro.workloads.microbench import END_MARKER, WARM_MARKER
 
 SIZES = (1500, 3000, 6000)
 INTERVAL = 256
 
 
 def measure(n_chars):
-    base = build_microbench(n_chars, variant="none", seed=11)
+    base = get_workload("microbench", n_chars=n_chars, variant="none",
+                        seed=11).raw
     base_t = time_window(base.program, begin=(WARM_MARKER, 1),
                          end=(END_MARKER, 1), setup=base.load_text)
     out = {}
     for kind in ("cbs", "brr"):
-        bench = build_microbench(n_chars, variant="full-dup", kind=kind,
-                                 interval=INTERVAL, include_payload=False,
-                                 seed=11)
+        bench = get_workload("microbench", n_chars=n_chars,
+                             variant="full-dup", kind=kind,
+                             interval=INTERVAL, include_payload=False,
+                             seed=11).raw
         unit = (BranchOnRandomUnit(Lfsr(20, seed=0x321))
                 if kind == "brr" else None)
         timed = time_window(bench.program, begin=(WARM_MARKER, 1),

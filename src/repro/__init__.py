@@ -31,7 +31,7 @@ every substrate the paper's evaluation depends on:
   ``docs/api.md``.
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 from . import (
     analysis,

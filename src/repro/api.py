@@ -11,8 +11,8 @@ functions, so ``python -m repro figure9`` and
 Stability policy (see ``docs/api.md`` for the full contract):
 
 * names exported in ``__all__`` follow deprecate-then-remove — at
-  least one minor release emitting :class:`DeprecationWarning` before
-  any breaking change;
+  least one minor release emitting a deprecation warning before any
+  breaking change;
 * every ``run_*`` function takes keyword-only arguments, so adding
   parameters is never a breaking change;
 * each function returns a :class:`FigureResult` whose ``data`` is the

@@ -26,9 +26,7 @@ fraction of the paper's invocation counts for the accuracy figures
 (default 0.05), outer-loop multiplier for figure12 (default 3),
 microbenchmark characters for figures 13/14/2 (default 4000),
 generated windows for `fuzz` (default 25), and measured-loop
-iterations for `entropy` (default 64).  The old
-``--jvm-scale`` and ``--chars`` flags still work as hidden deprecated
-aliases that warn on stderr.
+iterations for `entropy` (default 64).
 
 Every command handler routes through :mod:`repro.api`, so ``python -m
 repro X`` and ``repro.api.run_X()`` are the same code path.
@@ -74,7 +72,6 @@ import os
 import pathlib
 import sys
 import time
-import warnings
 from typing import Any, Dict, List, Optional, Tuple
 
 from .engine import (
@@ -99,33 +96,17 @@ JVM_SCALE_DEFAULT = 3.0
 MICRO_CHARS_DEFAULT = 4000
 
 
-def _warn_deprecated(old: str, new: str) -> None:
-    message = f"{old} is deprecated; use {new}"
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def _accuracy_scale(args) -> float:
     return ACCURACY_SCALE_DEFAULT if args.scale is None else args.scale
 
 
 def _jvm_scale(args) -> float:
-    """Figure 12's ``--scale`` (outer-loop multiplier), honouring the
-    deprecated ``--jvm-scale`` alias."""
-    if args.jvm_scale is not None:
-        _warn_deprecated("--jvm-scale", "--scale")
-        if args.scale is None:
-            return args.jvm_scale
+    """Figure 12's ``--scale`` (outer-loop multiplier)."""
     return JVM_SCALE_DEFAULT if args.scale is None else args.scale
 
 
 def _micro_chars(args) -> int:
-    """Figures 13/14/2's ``--scale`` (microbenchmark characters),
-    honouring the deprecated ``--chars`` alias."""
-    if args.chars is not None:
-        _warn_deprecated("--chars", "--scale")
-        if args.scale is None:
-            return args.chars
+    """Figures 13/14/2's ``--scale`` (microbenchmark characters)."""
     return MICRO_CHARS_DEFAULT if args.scale is None else int(args.scale)
 
 
@@ -457,11 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                              f"{MICRO_CHARS_DEFAULT}), generated windows "
                              "for fuzz (default 25), measured-loop "
                              "iterations for entropy (default 64)")
-    # Hidden deprecated aliases of --scale (warn on stderr).
-    parser.add_argument("--jvm-scale", type=float, default=None,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--chars", type=int, default=None,
-                        help=argparse.SUPPRESS)
     parser.add_argument("--sample", type=str, default=None,
                         help="sampling plan for the figure's window "
                              "population: exhaustive, fraction:F, "

@@ -20,6 +20,12 @@ audits everything, and the ``REPRO_VALIDATE`` watchdog cross-checks
 the fast timing kernel against the golden model at runtime.
 """
 
+from ..store.integrity import (
+    INTEGRITY_POLICIES,
+    IntegrityCounters,
+    IntegrityError,
+    quarantined_entries,
+)
 from .artifacts import (
     PLAN_TYPE,
     RUN_META_TYPE,
@@ -46,15 +52,11 @@ from .core import (
 )
 from .faults import InjectedWorkerFault, corrupt_file, should_inject
 from .integrity import (
-    INTEGRITY_POLICIES,
     VALIDATE_POLICIES,
-    IntegrityCounters,
-    IntegrityError,
     LedgerReport,
     ValidationDivergence,
     ValidationSettings,
     format_doctor,
-    quarantined_entries,
     run_doctor,
     scan_ledger,
     validation_override,

@@ -76,6 +76,14 @@ class WindowRecord:
     #: columnar kernel), "golden" (per-record replay loop), "lockstep"
     #: (no trace store), or None (untimed window or result-cache hit).
     timing_path: Optional[str] = None
+    #: Which kernel actually replayed the window: "vector", "loop"
+    #: (including vector windows delegated to it), "golden",
+    #: "lockstep", a "+"-joined mix for a batch, or None (untimed
+    #: window or result-cache hit).
+    kernel: Optional[str] = None
+    #: Windows replayed together in one serial multi-config batch
+    #: (None for a window replayed on its own).
+    batch_windows: Optional[int] = None
     #: Replay throughput in trace records per second (replays only).
     replay_records_per_s: Optional[float] = None
     #: Execution attempts this window took (1 = first try; ``None`` on

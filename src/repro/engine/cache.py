@@ -40,7 +40,6 @@ from ..store import (
     Backend,
     Codec,
     DiskTier,
-    IntegrityError,  # noqa: F401 - historical import surface
     MemoryTier,
     TieredStore,
     backend_from_env,

@@ -11,7 +11,6 @@ exactly one function, :meth:`EngineConfig.from_env`:
 ==========================  ===========================================
 ``REPRO_JOBS``              worker processes per window batch
 ``REPRO_FAST``              replay kernel: ``vector`` | ``loop`` | ``off``
-``REPRO_TRACE_PAGES``       shared-memory trace pages for pool workers
 ``REPRO_TIMEOUT``           per-window timeout in seconds (pool only)
 ``REPRO_RETRIES``           retry budget per window (default 3)
 ``REPRO_BACKOFF``           base backoff seconds (default 0.05)
@@ -41,11 +40,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
 from ..store.backend import backend_spec_from_env
+from ..store.integrity import INTEGRITY_POLICIES, integrity_policy_from_env
 from ..timing.fastpath import normalize_fast_mode
 from .integrity import (
-    INTEGRITY_POLICIES,
     VALIDATE_POLICIES,
-    integrity_policy_from_env,
     validate_every_from_env,
     validate_policy_from_env,
 )
@@ -108,7 +106,7 @@ class EngineConfig:
     resume_from: Optional[str] = None
     #: Store integrity policy (``verify`` | ``repair`` | ``trust``) —
     #: what a corrupt trace or cache entry becomes; see
-    #: :mod:`repro.engine.integrity`.
+    #: :mod:`repro.store.integrity`.
     integrity: str = "repair"
     #: Cross-check every n-th fast-path replay against the golden
     #: lock-step model (``None``/0 disables the watchdog).
@@ -134,11 +132,6 @@ class EngineConfig:
     #: :class:`~repro.stats.plan.SamplingPlan` selection seed.  ``None``
     #: keeps each experiment's historical per-figure default.
     seed: Optional[int] = None
-    #: Publish decoded trace columns as ``multiprocessing``
-    #: shared-memory pages for pool workers (zero-copy attach instead
-    #: of a per-worker decode); ``None`` resolves ``REPRO_TRACE_PAGES``
-    #: (default on) at engine construction.  Serial runs ignore it.
-    trace_pages: Optional[bool] = None
 
     def __post_init__(self) -> None:
         normalize_fast_mode(self.fast)  # raises on a bad mode name
@@ -185,9 +178,6 @@ class EngineConfig:
                 values["fast"] = normalize_fast_mode(fast)
             except ValueError:
                 pass  # unknown mode strings keep the library default
-        pages = os.environ.get("REPRO_TRACE_PAGES")
-        if pages is not None:
-            values["trace_pages"] = pages not in ("0", "false", "no")
         timeout = _env_float("REPRO_TIMEOUT")
         if timeout is not None and timeout > 0:
             values["timeout"] = timeout

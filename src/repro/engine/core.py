@@ -40,7 +40,6 @@ import dataclasses
 import os
 import pickle
 import time
-import warnings
 from collections import deque
 from concurrent import futures
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -61,7 +60,6 @@ from ..timing.fastpath import (
     fastpath_override,
     normalize_fast_mode,
 )
-from . import shm_pages
 from .artifacts import RunRecorder, WindowRecord, completed_keys, read_run_log
 from .cache import ResultCache, cache_enabled_by_env
 from .config import EngineConfig
@@ -239,14 +237,14 @@ def _pool_execute(item: Tuple[int, Dict[str, Any], Tuple, int]):
     index, spec_dict, conf, attempt = item
     (trace_root, trace_enabled, fast, fault_rate, fault_mode,
      integrity, validate_every, validate_policy,
-     trace_handles, store_backend, trace_pages, breaker) = conf
+     trace_handles, store_backend, breaker) = conf
     spec = WindowSpec.from_dict(spec_dict)
     started = time.perf_counter()
     maybe_inject(spec.cache_key, attempt, fault_rate, fault_mode,
                  in_worker=True)
     store = TraceStore(trace_root, enabled=trace_enabled, policy=integrity,
                        handles=trace_handles, backend=store_backend,
-                       pages=trace_pages, breaker=breaker)
+                       breaker=breaker)
     validation = ValidationSettings(every=validate_every,
                                     policy=validate_policy)
     with fastpath_override(fast), active_store(store), \
@@ -262,36 +260,21 @@ class ExperimentEngine:
 
     Configuration is one :class:`~repro.engine.config.EngineConfig`;
     the live collaborators (cache, recorder, trace store) and the
-    ``executor_factory`` seam stay constructor injection.  The legacy
-    scalar kwargs (``jobs=``, ``fast=``) still work but emit a
-    :class:`DeprecationWarning`.
+    ``executor_factory`` seam stay constructor injection.
     """
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
+        *,
         cache: Optional[ResultCache] = None,
         recorder: Optional[RunRecorder] = None,
         trace_store: Optional[TraceStore] = None,
-        fast: Optional[bool] = None,
-        *,
         config: Optional[EngineConfig] = None,
         resume_from: Optional[str] = None,
         executor_factory: Optional[Callable[[int], Any]] = None,
     ) -> None:
         if config is None:
             config = EngineConfig.from_env()
-        legacy = {}
-        if jobs is not None:
-            legacy["jobs"] = max(1, int(jobs))
-        if fast is not None:
-            legacy["fast"] = fast if isinstance(fast, str) else bool(fast)
-        if legacy:
-            warnings.warn(
-                "ExperimentEngine(jobs=..., fast=...) is deprecated; pass "
-                "config=EngineConfig(jobs=..., fast=...) instead",
-                DeprecationWarning, stacklevel=2)
-            config = config.with_overrides(**legacy)
         if resume_from is not None:
             config = config.with_overrides(resume_from=str(resume_from))
         self.config = config
@@ -322,9 +305,6 @@ class ExperimentEngine:
         # environment.
         self.fast = fastpath_mode() if config.fast is None \
             else normalize_fast_mode(config.fast)
-        self._trace_pages = (
-            shm_pages.pages_enabled_by_env() if config.trace_pages is None
-            else bool(config.trace_pages)) and shm_pages.pages_supported()
         self._fault_mode = fault_mode_from_env()
         self._executor_factory = executor_factory
         #: Keys completed by the run being resumed (empty otherwise).
@@ -573,48 +553,13 @@ class ExperimentEngine:
     # completed window is cached immediately, so an interrupt at any
     # point loses at most the windows still in flight.
 
-    def _publish_pages(self, specs: Sequence[WindowSpec],
-                       indices: Sequence[int]):
-        """Publish shared-memory pages for every already-recorded
-        functional trace the given windows will replay; ``None`` when
-        pages are disabled or unsupported."""
-        from .windows import GROUP_REGISTRY
-
-        if not (self._trace_pages and self.trace_store.enabled):
-            return None
-        registry = shm_pages.TracePageRegistry()
-        seen = set()
-        for index in indices:
-            spec = specs[index]
-            if spec.kind not in GROUP_REGISTRY:
-                continue
-            key = functional_key(spec.kind, spec.params_dict())
-            if key in seen:
-                continue
-            seen.add(key)
-            trace = self.trace_store.load(key)
-            if trace is None:
-                continue  # first run records in a worker; next run pages
-            try:
-                registry.publish(key, trace)
-            except Exception:
-                pass  # pages are an amortisation, never a dependency
-        return registry
-
     def _run_pool(self, specs: Sequence[WindowSpec], misses: List[int],
                   results: List[Optional[Dict[str, Any]]]) -> None:
         cfg = self.config
-        pages = self._publish_pages(specs, misses)
-
-        def make_conf():
-            return (str(self.trace_store.root), self.trace_store.enabled,
-                    self.fast, cfg.fault_rate, self._fault_mode,
-                    cfg.integrity, cfg.validate_every, cfg.validate_policy,
-                    cfg.trace_handles, cfg.store_backend,
-                    pages.names() if pages is not None else None,
-                    cfg.breaker)
-
-        worker_conf = make_conf()
+        worker_conf = (str(self.trace_store.root), self.trace_store.enabled,
+                       self.fast, cfg.fault_rate, self._fault_mode,
+                       cfg.integrity, cfg.validate_every, cfg.validate_policy,
+                       cfg.trace_handles, cfg.store_backend, cfg.breaker)
         workers = min(self.jobs, len(misses))
         queue = deque((index, 0) for index in misses)
         inflight: Dict[Any, Tuple[int, int, Optional[float]]] = {}
@@ -687,21 +632,10 @@ class ExperimentEngine:
                         queue.append((index, attempt))
                     inflight.clear()
                     self._teardown_pool(pool)
-                    # The dead generation's workers may have held page
-                    # attachments; its segments are unlinked here and a
-                    # fresh set published for the rebuilt pool, so a
-                    # crash can never leak shared memory.
-                    if pages is not None:
-                        pages.unlink_all()
-                        pages = self._publish_pages(
-                            specs, [index for index, _ in queue])
-                        worker_conf = make_conf()
                     if queue:
                         pool = self._new_pool(min(workers, len(queue)))
         finally:
             self._teardown_pool(pool)
-            if pages is not None:
-                pages.unlink_all()
 
     def _new_pool(self, workers: int):
         if self._executor_factory is not None:
@@ -787,6 +721,8 @@ class ExperimentEngine:
             trace_bytes=trace_info.get("trace_bytes"),
             functional_steps=trace_info.get("functional_steps"),
             timing_path=trace_info.get("timing_path"),
+            kernel=trace_info.get("kernel"),
+            batch_windows=trace_info.get("batch_windows"),
             replay_records_per_s=trace_info.get("replay_records_per_s"),
             attempts=attempts,
             error=error,

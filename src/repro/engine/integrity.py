@@ -25,12 +25,9 @@ policies and shared machinery that keep all four honest
   return the golden stats, ``raise`` — abort the run).
 
 The store-level primitives — policies, quarantine, payload digests,
-per-store counters — moved to :mod:`repro.store.integrity` with the
-tiered-store refactor; they are re-exported here unchanged so
-engine-level callers and tests keep importing them from
-``repro.engine``.  What remains native to this module is the
-engine-side machinery: ledger CRCs, the validation watchdog, and
-``repro doctor``.
+per-store counters — live in :mod:`repro.store.integrity`.  This
+module holds the engine-side machinery: ledger CRCs, the validation
+watchdog, and ``repro doctor``.
 """
 
 from __future__ import annotations
@@ -43,20 +40,7 @@ import pathlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..store.integrity import (  # noqa: F401 - re-exported surface
-    INTEGRITY_POLICIES,
-    QUARANTINE_DIR,
-    REASON_SUFFIX,
-    IntegrityCounters,
-    IntegrityError,
-    check_policy,
-    integrity_policy_from_env,
-    payload_digest,
-    purge_quarantine,
-    quarantine_entry,
-    quarantine_root,
-    quarantined_entries,
-)
+from ..store.integrity import IntegrityError
 
 #: What a fast-path validation divergence becomes.
 VALIDATE_POLICIES = ("warn", "fallback", "raise")

@@ -51,7 +51,6 @@ from ..store import (
     Backend,
     Codec,
     DiskTier,
-    IntegrityError,  # noqa: F401 - historical import surface
     MemoryTier,
     TieredStore,
     integrity_policy_from_env,
@@ -134,24 +133,14 @@ class _TraceCodec(Codec):
 class TraceStore:
     """Content-addressed store mapping functional keys to trace files."""
 
-    #: Historical name of the default open-handle LRU bound.
-    HANDLE_CACHE_SIZE = DEFAULT_TRACE_HANDLES
-
     def __init__(self, root: Optional[pathlib.Path] = None,
                  enabled: bool = True,
                  policy: Optional[str] = None,
                  handles: Optional[int] = None,
                  backend: Union[Backend, str, None] = AUTO_BACKEND,
-                 pages: Optional[Dict[str, str]] = None,
                  breaker: Optional[bool] = None) -> None:
         self.root = pathlib.Path(root) if root else default_trace_dir()
         self.enabled = enabled
-        #: ``{functional key: shared-memory segment name}`` published
-        #: by the parent engine (:mod:`repro.engine.shm_pages`); a hit
-        #: attaches the parent's decoded columns zero-copy instead of
-        #: re-reading and re-decoding the trace file.
-        self._pages: Dict[str, str] = dict(pages or {})
-        self._attached: Dict[str, Any] = {}
         codec = _TraceCodec()
         self._tiers = TieredStore(
             disk=DiskTier(self.root, TRACE_STORE_VERSION, ".trace"),
@@ -198,10 +187,6 @@ class TraceStore:
         replaced out-of-band, or the LRU would keep serving the stale
         decoded trace."""
         self._tiers.invalidate(key)
-        attached = self._attached.pop(key, None)
-        if attached is not None:
-            attached.close()
-        self._pages.pop(key, None)
 
     def load(self, key: str) -> Optional[RecordedTrace]:
         """The recorded trace for ``key``, or ``None`` on a miss.
@@ -215,34 +200,12 @@ class TraceStore:
         """
         if not self.enabled:
             return None
-        shared = self._attach_page(key)
-        if shared is not None:
-            self.hits += 1
-            return shared
         found = self._tiers.get(key)
         if found is None:
             self.misses += 1
             return None
         self.hits += 1
         return found[0]
-
-    def _attach_page(self, key: str):
-        """Attach the published shared-memory page for ``key``, if
-        any; failures degrade silently to the tier stack."""
-        if key in self._attached:
-            return self._attached[key]
-        name = self._pages.get(key)
-        if name is None:
-            return None
-        from .shm_pages import attach
-
-        shared = attach(name)
-        if shared is None:
-            # Unlinked or unreadable: never retry this generation.
-            self._pages.pop(key, None)
-            return None
-        self._attached[key] = shared
-        return shared
 
     def record(self, key: str, recorder) -> RecordedTrace:
         """Record a trace into the store (atomic, last-writer-wins).

@@ -95,6 +95,7 @@ def _timed_window(
             "trace_bytes": None,
             "functional_steps": result.total_steps,
             "timing_path": "lockstep",
+            "kernel": "lockstep",
             "replay_records_per_s": None,
         })
         return result
@@ -115,6 +116,7 @@ def _timed_window(
         "trace_bytes": trace.nbytes,
         "functional_steps": functional_steps,
         "timing_path": replay_info.get("timing_path"),
+        "kernel": replay_info.get("timing_kernel"),
         "replay_records_per_s": replay_info.get("replay_records_per_s"),
     }
     for field in ("validation", "validation_policy",
@@ -368,6 +370,7 @@ def _timed_window_group(
             "trace_bytes": trace.nbytes,
             "functional_steps": functional_steps if position == 0 else 0,
             "timing_path": replay_info.get("timing_path"),
+            "kernel": replay_info.get("timing_kernel"),
             "replay_records_per_s": replay_info.get("replay_records_per_s"),
             "batch_windows": replay_info.get("batch_windows"),
         }

@@ -2,9 +2,6 @@
 microbenchmark, the Shakespeare-like text generator, and the
 adversarial predictor-aware program family — unified behind the
 :mod:`~repro.workloads.registry` (``get_workload(name, **knobs)``).
-
-The per-family builders (``spec_by_name``/``generate_events``,
-``build_microbench``, ``generate_text``) remain as deprecation shims.
 """
 
 from .adversarial import (
@@ -17,9 +14,7 @@ from .dacapo import (
     DACAPO_BENCHMARKS,
     DacapoSpec,
     event_chunks,
-    generate_events,
     method_weights,
-    spec_by_name,
 )
 from .microbench import (
     END_MARKER,
@@ -29,7 +24,6 @@ from .microbench import (
     WARM_MARKER,
     Microbench,
     build_cfg,
-    build_microbench,
 )
 from .registry import (
     FAMILIES,
@@ -41,7 +35,6 @@ from .registry import (
 from .text import (
     class_counts,
     classify,
-    generate_text,
     reference_checksum,
     site_encounters,
 )
@@ -54,9 +47,7 @@ __all__ = [
     "DACAPO_BENCHMARKS",
     "DacapoSpec",
     "event_chunks",
-    "generate_events",
     "method_weights",
-    "spec_by_name",
     "END_MARKER",
     "PROFILE_BASE",
     "SITES",
@@ -64,7 +55,6 @@ __all__ = [
     "WARM_MARKER",
     "Microbench",
     "build_cfg",
-    "build_microbench",
     "FAMILIES",
     "Workload",
     "get_workload",
@@ -72,7 +62,6 @@ __all__ = [
     "workload_family",
     "class_counts",
     "classify",
-    "generate_text",
     "reference_checksum",
     "site_encounters",
 ]

@@ -24,7 +24,6 @@ Streams are produced as int32 numpy chunks so the full-scale runs
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
@@ -89,15 +88,6 @@ def _spec_by_name(name: str) -> DacapoSpec:
         if spec.name == name:
             return spec
     raise KeyError(f"no such benchmark: {name!r}")
-
-
-def spec_by_name(name: str) -> DacapoSpec:
-    """Deprecated shim over the workload registry; see
-    :func:`repro.workloads.registry.get_workload`."""
-    warnings.warn(
-        "spec_by_name() is deprecated; use get_workload(name).spec instead",
-        DeprecationWarning, stacklevel=2)
-    return _spec_by_name(name)
 
 
 def method_weights(spec: DacapoSpec) -> np.ndarray:
@@ -184,14 +174,3 @@ def event_chunks(
         yield from flush_ready()
     if buffered:
         yield np.concatenate(buffer)
-
-
-def generate_events(spec: DacapoSpec, scale: float = 0.1,
-                    seed: int = 0) -> np.ndarray:
-    """Deprecated shim over the workload registry; see
-    :func:`repro.workloads.registry.get_workload` (``.events()``)."""
-    warnings.warn(
-        "generate_events() is deprecated; use "
-        "get_workload(name, scale=..., seed=...).events() instead",
-        DeprecationWarning, stacklevel=2)
-    return np.concatenate(list(event_chunks(spec, scale=scale, seed=seed)))

@@ -25,7 +25,6 @@ and epilogue from timing simulation").
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -287,26 +286,3 @@ def _build_microbench(
         n_chars=n_chars,
         warm_chars=warm_chars,
     )
-
-
-def build_microbench(
-    n_chars: int = 2000,
-    variant: str = "none",
-    kind: Optional[str] = None,
-    interval: int = 1024,
-    include_payload: bool = True,
-    warm_fraction: float = 0.25,
-    seed: int = 0,
-    text: Optional[bytes] = None,
-    counter_in_register: bool = False,
-) -> Microbench:
-    """Deprecated shim over the workload registry; see
-    :func:`repro.workloads.registry.get_workload`."""
-    warnings.warn(
-        "build_microbench() is deprecated; use "
-        "get_workload('microbench', ...).raw instead",
-        DeprecationWarning, stacklevel=2)
-    return _build_microbench(
-        n_chars, variant=variant, kind=kind, interval=interval,
-        include_payload=include_payload, warm_fraction=warm_fraction,
-        seed=seed, text=text, counter_in_register=counter_in_register)

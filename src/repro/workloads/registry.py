@@ -1,9 +1,7 @@
 """The unified workload registry: one API over every workload family.
 
-Before this module, each workload family had its own ad-hoc builder
-(``dacapo.spec_by_name``/``generate_events``, ``microbench.
-build_microbench``, ``text.generate_text``); callers had to know each
-one's shape.  :func:`get_workload` replaces them::
+Each workload family has its own private builder;
+:func:`get_workload` is the one public way to reach them::
 
     get_workload("jython", scale=0.01).events()
     get_workload("microbench", variant="full").program()
@@ -23,8 +21,7 @@ Every family answers the same three-method :class:`Workload` protocol:
 ``raw`` exposes the family-specific object (:class:`Microbench`,
 :class:`AdversarialProgram`, :class:`DacapoSpec`, ``bytes``) for
 callers that need family extras (``load_text``, ``measured_sites``,
-streaming ``event_chunks`` ...).  The legacy builders remain available
-as one-warning deprecation shims delegating here.
+streaming ``event_chunks`` ...).
 """
 
 from __future__ import annotations

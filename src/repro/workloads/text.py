@@ -12,7 +12,6 @@ by spaces and occasional punctuation/newlines.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Tuple
 
 #: Character class codes used by analysis helpers.
@@ -46,23 +45,6 @@ def _generate_text(
             out.append(rng.choice(_PUNCTUATION))
         out.append(ord(" "))
     return bytes(out[:n_chars])
-
-
-def generate_text(
-    n_chars: int,
-    seed: int = 0,
-    upper_word_prob: float = 0.18,
-    punctuation_prob: float = 0.12,
-) -> bytes:
-    """Deprecated shim over the workload registry; see
-    :func:`repro.workloads.registry.get_workload`."""
-    warnings.warn(
-        "generate_text() is deprecated; use "
-        "get_workload('text', n_chars=...).raw instead",
-        DeprecationWarning, stacklevel=2)
-    return _generate_text(n_chars, seed=seed,
-                          upper_word_prob=upper_word_prob,
-                          punctuation_prob=punctuation_prob)
 
 
 def classify(char: int) -> str:

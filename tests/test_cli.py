@@ -24,8 +24,6 @@ class TestParser:
         # --scale is resolved per command; unset flags stay None so the
         # handlers can tell "default" from "explicit".
         assert args.scale is None
-        assert args.jvm_scale is None
-        assert args.chars is None
         assert args.jobs is None
         assert args.json is False
         assert args.log_jsonl is None
@@ -151,7 +149,7 @@ class TestCacheCommand:
 
     def test_populate_then_clear(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
-        assert main(["figure13", "--chars", "600",
+        assert main(["figure13", "--scale", "600",
                      "--cache-dir", cache]) == 0
         capsys.readouterr()
 
@@ -183,44 +181,13 @@ class TestCacheCommand:
 
 
 class TestScaleUnification:
-    """Satellite: one ``--scale`` flag across every figure command,
-    with the old spellings kept as hidden deprecated aliases."""
+    """One ``--scale`` flag across every figure command."""
 
     def test_scale_accepted_by_every_figure_command(self):
         parser = build_parser()
         for command in ("figure9", "figure10", "figure12", "figure13",
                         "figure14", "figure2", "sensitivity", "scorecard"):
             assert parser.parse_args([command, "--scale", "7"]).scale == 7.0
-
-    def test_chars_alias_warns_and_matches_scale(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache")
-        assert main(["figure13", "--scale", "600",
-                     "--cache-dir", cache]) == 0
-        via_scale = capsys.readouterr().out
-        with pytest.warns(DeprecationWarning, match="--chars"):
-            assert main(["figure13", "--chars", "600",
-                         "--cache-dir", cache]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == via_scale
-        assert "--chars is deprecated" in captured.err
-
-    def test_jvm_scale_alias_warns(self, capsys, tmp_path):
-        with pytest.warns(DeprecationWarning, match="--jvm-scale"):
-            assert main(["figure12", "--jvm-scale", "0.5",
-                         "--cache-dir", str(tmp_path / "cache")]) == 0
-        captured = capsys.readouterr()
-        assert "Figure 12" in captured.out
-        assert "--jvm-scale is deprecated" in captured.err
-
-    def test_explicit_scale_wins_over_alias(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache")
-        assert main(["figure13", "--scale", "600",
-                     "--cache-dir", cache]) == 0
-        via_scale = capsys.readouterr().out
-        with pytest.warns(DeprecationWarning):
-            assert main(["figure13", "--scale", "600", "--chars", "9999",
-                         "--cache-dir", cache]) == 0
-        assert capsys.readouterr().out == via_scale
 
     def test_scale_rejected_for_all(self, capsys):
         with pytest.raises(SystemExit):

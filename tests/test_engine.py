@@ -147,12 +147,12 @@ class TestSerialization:
 def _tiny_specs():
     """A small mixed batch: accuracy + timing windows."""
     from repro.experiments import accuracy_window_spec, microbench_window_spec
-    from repro.workloads.dacapo import spec_by_name
+    from repro.workloads import get_workload
 
     return [
-        accuracy_window_spec(spec_by_name("fop"), 1 << 10,
+        accuracy_window_spec(get_workload("fop").spec, 1 << 10,
                              ("sw", "random"), 0.003, seed=0),
-        accuracy_window_spec(spec_by_name("fop"), 1 << 10,
+        accuracy_window_spec(get_workload("fop").spec, 1 << 10,
                              ("random",), 0.003, seed=1),
         microbench_window_spec(500, "full-dup", seed=1, kind="brr",
                                interval=64, lfsr_seed=64),
@@ -162,35 +162,44 @@ def _tiny_specs():
 
 class TestEngineExecution:
     def test_serial_matches_parallel_and_warm_cache(self, tmp_path):
-        """Satellite: REPRO_JOBS=1, REPRO_JOBS=4 and a warm cache all
-        produce byte-identical payloads (every RNG is in the key)."""
+        """REPRO_JOBS=1, REPRO_JOBS=4, a warm result cache and a
+        REPRO_JOBS=2 pool replaying the serial run's warm trace store
+        all produce byte-identical payloads (every RNG is in the key)."""
         specs = _tiny_specs()
         serial = ExperimentEngine(config=EngineConfig(jobs=1),
                                   cache=ResultCache(tmp_path / "s"))
         parallel = ExperimentEngine(config=EngineConfig(jobs=4),
                                     cache=ResultCache(tmp_path / "p"))
+        warm_traces = ExperimentEngine(config=EngineConfig(jobs=2),
+                                       cache=ResultCache(tmp_path / "t"),
+                                       trace_store=serial.trace_store)
 
         serial_payloads = serial.run(specs)
         parallel_payloads = parallel.run(specs)
         warm_payloads = serial.run(specs)
+        warm_trace_payloads = warm_traces.run(specs)
 
         canonical = [json.dumps(p, sort_keys=True) for p in serial_payloads]
-        assert canonical == [json.dumps(p, sort_keys=True)
-                             for p in parallel_payloads]
-        assert canonical == [json.dumps(p, sort_keys=True)
-                             for p in warm_payloads]
+        for payloads in (parallel_payloads, warm_payloads,
+                         warm_trace_payloads):
+            assert canonical == [json.dumps(p, sort_keys=True)
+                                 for p in payloads]
 
         summary = serial.summary()
         assert summary["windows"] == 2 * len(specs)
         assert summary["cache_hits"] == len(specs)
+        # The pool workers replayed the serially recorded traces.
+        pooled = warm_traces.summary()
+        assert pooled["cache_misses"] == len(specs)
+        assert pooled["trace_hits"] == 2 and pooled["trace_misses"] == 0
 
     def test_reduced_figure_is_identical_across_backends(self, tmp_path):
         """Figure-level determinism: the reducers' JSON output is
         byte-identical whichever backend computed the windows."""
         from repro.experiments import accuracy_figure
-        from repro.workloads.dacapo import spec_by_name
+        from repro.workloads import get_workload
 
-        benchmarks = [spec_by_name("fop"), spec_by_name("antlr")]
+        benchmarks = [get_workload("fop").spec, get_workload("antlr").spec]
         outputs = [
             json.dumps(accuracy_figure(1 << 10, scale=0.003,
                                        benchmarks=benchmarks, engine=engine),
@@ -214,18 +223,6 @@ class TestEngineExecution:
     def test_empty_batch(self, tmp_path):
         engine = ExperimentEngine(cache=ResultCache(tmp_path))
         assert engine.run([]) == []
-
-    def test_legacy_kwargs_warn_once_but_work(self, tmp_path):
-        """Satellite: old ``ExperimentEngine(jobs=...)`` callers keep
-        working through a one-warning deprecation shim."""
-        with pytest.warns(DeprecationWarning) as caught:
-            engine = ExperimentEngine(jobs=3, fast=False,
-                                      cache=ResultCache(tmp_path))
-        assert len(caught) == 1
-        assert engine.jobs == 3
-        assert engine.config.jobs == 3
-        # Legacy booleans resolve onto the kernel-mode names.
-        assert engine.fast == "off"
 
 
 class TestRunArtifacts:

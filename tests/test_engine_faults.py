@@ -19,7 +19,6 @@ from repro.engine import (
     InjectedWorkerFault,
     ResultCache,
     RunRecorder,
-    TraceStore,
     WindowFailure,
     WindowSpec,
     completed_keys,
@@ -32,12 +31,12 @@ from repro.engine import (
 def _specs():
     """A cheap mixed batch (accuracy + timing windows)."""
     from repro.experiments import accuracy_window_spec, microbench_window_spec
-    from repro.workloads.dacapo import spec_by_name
+    from repro.workloads import get_workload
 
     return [
-        accuracy_window_spec(spec_by_name("fop"), 1 << 10,
+        accuracy_window_spec(get_workload("fop").spec, 1 << 10,
                              ("random",), 0.003, seed=0),
-        accuracy_window_spec(spec_by_name("antlr"), 1 << 10,
+        accuracy_window_spec(get_workload("antlr").spec, 1 << 10,
                              ("sw",), 0.003, seed=1),
         microbench_window_spec(500, "full-dup", seed=1, kind="brr",
                                interval=64, lfsr_seed=64),
@@ -248,87 +247,3 @@ class TestResumeFromRunLog:
     def test_read_run_log_missing_file(self, tmp_path):
         meta, records = read_run_log(tmp_path / "nope.jsonl")
         assert meta is None and records == []
-
-
-class TestTracePages:
-    """Shared-memory trace pages: the parent registry is the single
-    unlink authority, so neither a clean pool shutdown nor a
-    fault-forced pool rebuild may leak ``/dev/shm`` segments."""
-
-    def _timing_specs(self):
-        from repro.experiments import microbench_window_spec
-
-        return [
-            microbench_window_spec(500, "full-dup", seed=1, kind="brr",
-                                   interval=64, lfsr_seed=64),
-            microbench_window_spec(500, "full-dup", seed=2, kind="cbs",
-                                   interval=64),
-        ]
-
-    def _warm_store(self, tmp_path, specs):
-        """Record the traces serially so the pooled run can page them."""
-        store = TraceStore(tmp_path / "traces", enabled=True)
-        warm = ExperimentEngine(cache=ResultCache(tmp_path / "warm"),
-                                trace_store=store)
-        return store, warm.run(specs)
-
-    def test_shared_trace_equivalent_then_unlinked(self):
-        from repro.engine import shm_pages
-        from repro.engine.windows import MATERIALS
-        from repro.timing.runner import record_window
-
-        spec = self._timing_specs()[0]
-        materials = MATERIALS[spec.kind](spec.params_dict())
-        trace = record_window(materials["program"], materials["end"],
-                              brr_unit=materials["brr_unit"],
-                              setup=materials["setup"])
-        registry = shm_pages.TracePageRegistry()
-        name = registry.publish("key", trace)
-        if name is None:
-            pytest.skip("shared memory unavailable on this platform")
-        shared = shm_pages.attach(name)
-        assert shared is not None
-        assert len(shared) == len(trace)
-        assert shared.markers == trace.markers
-        assert shared.nbytes == trace.nbytes
-        ref, cols = trace.columns(), shared.columns()
-        assert list(cols.pc) == list(ref.pc)
-        assert list(cols.word_id) == list(ref.word_id)
-        assert list(cols.next_pc) == list(ref.next_pc)
-        assert bytes(cols.taken) == bytes(ref.taken)
-        assert list(cols.mem_addr) == list(ref.mem_addr)
-        assert cols.instrs == ref.instrs
-        assert list(shared.records()) == list(trace.records())
-        shared.close()
-        assert registry.unlink_all() == 1
-        assert shm_pages.attach(name) is None  # gone for good
-        assert registry.unlink_all() == 0      # and idempotent
-
-    def test_pooled_run_with_pages_leaves_no_segments(self, tmp_path):
-        from repro.engine import shm_pages
-
-        before = set(shm_pages.leaked_pages())
-        specs = self._timing_specs()
-        store, serial_payloads = self._warm_store(tmp_path, specs)
-        pooled = ExperimentEngine(
-            config=EngineConfig(jobs=2),
-            cache=ResultCache(tmp_path / "pooled"),
-            trace_store=store)
-        assert _canonical(pooled.run(specs)) == _canonical(serial_payloads)
-        assert set(shm_pages.leaked_pages()) <= before
-
-    def test_pool_rebuild_does_not_leak_pages(self, tmp_path, monkeypatch):
-        from repro.engine import shm_pages
-
-        monkeypatch.setenv("REPRO_FAULT_MODE", "kill")
-        before = set(shm_pages.leaked_pages())
-        specs = self._timing_specs()
-        store, clean_payloads = self._warm_store(tmp_path, specs)
-        faulty = ExperimentEngine(
-            config=EngineConfig(jobs=2, fault_rate=0.4, retries=25,
-                                backoff=0.0),
-            cache=ResultCache(tmp_path / "faulty"),
-            trace_store=store)
-        assert _canonical(faulty.run(specs)) == _canonical(clean_payloads)
-        assert faulty.summary()["failures"] == 0
-        assert set(shm_pages.leaked_pages()) <= before

@@ -23,46 +23,48 @@ from repro.experiments import (
     seed_noise_baseline,
     taps_sensitivity,
 )
-from repro.workloads.dacapo import spec_by_name
+from repro.workloads import get_workload
 
 
 class TestAccuracy:
     def test_jython_random_beats_counters(self):
         """The Figure 9 headline: brr avoids the resonance that costs
         the counters accuracy on jython."""
-        result = run_accuracy(spec_by_name("jython"), 1 << 10, scale=0.01)
+        result = run_accuracy(get_workload("jython").spec, 1 << 10,
+                              scale=0.01)
         assert result["random"].accuracy > result["sw"].accuracy + 3
         assert result["random"].accuracy > result["hw"].accuracy + 3
 
     def test_clean_benchmark_schemes_comparable(self):
-        result = run_accuracy(spec_by_name("luindex"), 1 << 10, scale=0.01)
+        result = run_accuracy(get_workload("luindex").spec, 1 << 10,
+                              scale=0.01)
         values = [r.accuracy for r in result.values()]
         assert max(values) - min(values) < 5
 
     def test_lower_rate_lower_accuracy(self):
-        spec = spec_by_name("bloat")
+        spec = get_workload("bloat").spec
         high = run_accuracy(spec, 1 << 10, schemes=("random",), scale=0.01)
         low = run_accuracy(spec, 1 << 13, schemes=("random",), scale=0.01)
         assert low["random"].accuracy < high["random"].accuracy
 
     def test_samples_track_interval(self):
-        result = run_accuracy(spec_by_name("fop"), 1 << 10, scale=0.01)
+        result = run_accuracy(get_workload("fop").spec, 1 << 10, scale=0.01)
         for r in result.values():
             expected = r.events / (1 << 10)
             assert abs(r.samples - expected) < expected * 0.5 + 10
 
     def test_figure_rows_include_average(self):
         rows = accuracy_figure(1 << 10, scale=0.003,
-                               benchmarks=[spec_by_name("fop"),
-                                           spec_by_name("antlr")])
+                               benchmarks=[get_workload("fop").spec,
+                                           get_workload("antlr").spec])
         assert [r["benchmark"] for r in rows] == ["fop", "antlr", "average"]
         table = format_accuracy_rows(rows, "test")
         assert "average" in table
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            run_accuracy(spec_by_name("fop"), 1 << 10, schemes=("magic",),
-                         scale=0.003)
+            run_accuracy(get_workload("fop").spec, 1 << 10,
+                         schemes=("magic",), scale=0.003)
 
 
 class TestSensitivity:

@@ -210,6 +210,25 @@ class TestEngineTelemetry:
         assert fast_line["replay_records_per_s"] > 0
         assert fast_engine.summary()["fastpath_windows"] == 1
         assert golden_engine.summary()["goldenpath_windows"] == 1
+        assert fast_line["kernel"] in KERNELS
+        assert golden_line["kernel"] == "golden"
+        assert fast_line["batch_windows"] is None  # replayed on its own
+
+    def test_jsonl_logs_kernel_and_batch_size(self, tmp_path):
+        configs = [TimingConfig(), TimingConfig(rob_entries=16),
+                   TimingConfig(issue_width=2, phys_regs=40)]
+        specs = [microbench_window_spec(300, "full-dup", seed=0, kind="cbs",
+                                        interval=256, config=config)
+                 for config in configs]
+        engine = self._engine(tmp_path, "batch", fast="vector")
+        engine.run(specs)
+        lines = [json.loads(line) for line in
+                 (tmp_path / "batch.jsonl").read_text().splitlines()]
+        assert len(lines) == len(specs)
+        for line in lines:
+            assert line["batch_windows"] == len(specs)
+            assert line["kernel"] is not None
+            assert set(line["kernel"].split("+")) <= set(KERNELS)
 
     def test_trace_handle_cache_shares_decoded_columns(self, tmp_path):
         from repro.engine.tracestore import functional_key

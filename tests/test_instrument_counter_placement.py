@@ -13,11 +13,12 @@ from repro.instrument.arnold_ryder import (
     no_duplication,
 )
 from repro.timing.runner import time_window
-from repro.workloads.microbench import (
-    END_MARKER,
-    WARM_MARKER,
-    build_microbench,
-)
+from repro.workloads import get_workload
+from repro.workloads.microbench import END_MARKER, WARM_MARKER
+
+
+def _bench(n_chars, **knobs):
+    return get_workload("microbench", n_chars=n_chars, **knobs).raw
 
 
 class TestSpec:
@@ -58,9 +59,9 @@ class TestCodegen:
 
     @pytest.mark.parametrize("duplication", ["no-dup", "full-dup"])
     def test_functional_equivalence(self, duplication):
-        bench = build_microbench(800, variant=duplication, kind="cbs",
-                                 interval=16, counter_in_register=True,
-                                 seed=6)
+        bench = _bench(800, variant=duplication, kind="cbs",
+                       interval=16, counter_in_register=True,
+                       seed=6)
         machine = bench.make_machine()
         machine.run(max_steps=2_000_000)
         checksum, counts = bench.read_results(machine)
@@ -68,9 +69,9 @@ class TestCodegen:
         assert sum(counts) > 0
 
     def test_register_counter_samples_at_interval(self):
-        bench = build_microbench(900, variant="no-dup", kind="cbs",
-                                 interval=8, counter_in_register=True,
-                                 seed=6)
+        bench = _bench(900, variant="no-dup", kind="cbs",
+                       interval=8, counter_in_register=True,
+                       seed=6)
         machine = bench.make_machine()
         machine.run(max_steps=2_000_000)
         __, counts = bench.read_results(machine)
@@ -85,14 +86,14 @@ class TestTiming:
         the memory placement (its cost is the stolen register, which
         this microbenchmark does not need)."""
         n = 2500
-        base = build_microbench(n, variant="none", seed=3)
+        base = _bench(n, variant="none", seed=3)
         base_t = time_window(base.program, begin=(WARM_MARKER, 1),
                              end=(END_MARKER, 1), setup=base.load_text)
         results = {}
         for reg in (False, True):
-            bench = build_microbench(n, variant="no-dup", kind="cbs",
-                                     interval=1024, include_payload=False,
-                                     counter_in_register=reg, seed=3)
+            bench = _bench(n, variant="no-dup", kind="cbs",
+                           interval=1024, include_payload=False,
+                           counter_in_register=reg, seed=3)
             timed = time_window(bench.program, begin=(WARM_MARKER, 1),
                                 end=(END_MARKER, 1), setup=bench.load_text)
             results[reg] = timed.cycles

@@ -22,26 +22,28 @@ from repro.cli import main
 from repro.engine import (
     EngineConfig,
     ExperimentEngine,
-    IntegrityError,
     ResultCache,
     RunRecorder,
     TraceStore,
     ValidationDivergence,
     ValidationSettings,
     corrupt_file,
-    quarantined_entries,
     read_run_log_checked,
     run_doctor,
     scan_ledger,
     validation_override,
 )
 from repro.engine.integrity import (
-    REASON_SUFFIX,
     compare_stats,
     ledger_line_crc,
     take_validation_ticket,
 )
 from repro.engine.windows import MATERIALS
+from repro.store.integrity import (
+    REASON_SUFFIX,
+    IntegrityError,
+    quarantined_entries,
+)
 from repro.experiments.fig13 import microbench_window_spec
 from repro.timing import fastpath
 from repro.timing.runner import (

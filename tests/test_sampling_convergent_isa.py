@@ -5,12 +5,17 @@ import pytest
 from repro.core.brr import BranchOnRandomUnit
 from repro.core.lfsr import Lfsr
 from repro.sampling import ConvergentController, SiteBinding
-from repro.workloads.microbench import PROFILE_BASE, build_microbench
+from repro.workloads import get_workload
+from repro.workloads.microbench import PROFILE_BASE
+
+
+def _bench(n_chars, **knobs):
+    return get_workload("microbench", n_chars=n_chars, **knobs).raw
 
 
 def make_setup(n_chars=6000, seed=3, interval=4):
-    bench = build_microbench(n_chars, variant="no-dup", kind="brr",
-                             interval=interval, seed=seed)
+    bench = _bench(n_chars, variant="no-dup", kind="brr",
+                   interval=interval, seed=seed)
     machine = bench.make_machine(
         brr_unit=BranchOnRandomUnit(Lfsr(20, seed=0x1111)))
     return bench, machine
@@ -29,10 +34,10 @@ class TestBindings:
             assert PROFILE_BASE <= binding.counter_addr < PROFILE_BASE + 16
 
     def test_bindings_require_brr_nodup(self):
-        bench = build_microbench(500, variant="full")
+        bench = _bench(500, variant="full")
         with pytest.raises(ValueError):
             bench.brr_site_bindings()
-        bench = build_microbench(500, variant="full-dup", kind="brr")
+        bench = _bench(500, variant="full-dup", kind="brr")
         with pytest.raises(ValueError):
             bench.brr_site_bindings()
 

@@ -3,43 +3,50 @@
 import pytest
 
 from repro.core.brr import BranchOnRandomUnit, HardwareCounterUnit
+from repro.workloads import get_workload
 from repro.workloads.microbench import (
     END_MARKER,
     SITES,
     WARM_MARKER,
     Microbench,
-    build_microbench,
 )
 from repro.workloads.text import (
     class_counts,
     classify,
-    generate_text,
     reference_checksum,
     site_encounters,
 )
 
 
+def _text(n_chars, **knobs):
+    return get_workload("text", n_chars=n_chars, **knobs).raw
+
+
+def _bench(n_chars, **knobs):
+    return get_workload("microbench", n_chars=n_chars, **knobs).raw
+
+
 class TestTextGenerator:
     def test_exact_length(self):
-        assert len(generate_text(1234, seed=1)) == 1234
+        assert len(_text(1234, seed=1)) == 1234
 
     def test_deterministic(self):
-        assert generate_text(500, seed=7) == generate_text(500, seed=7)
+        assert _text(500, seed=7) == _text(500, seed=7)
 
     def test_seeds_differ(self):
-        assert generate_text(500, seed=1) != generate_text(500, seed=2)
+        assert _text(500, seed=1) != _text(500, seed=2)
 
     def test_zero_length(self):
-        assert generate_text(0) == b""
+        assert _text(0) == b""
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            generate_text(-1)
+            _text(-1)
 
     def test_words_single_case(self):
         """Every word is entirely upper- or entirely lower-case, like
         the paper's Shakespearian input."""
-        text = generate_text(2000, seed=3)
+        text = _text(2000, seed=3)
         for word in text.split():
             letters = [c for c in word if 65 <= c <= 90 or 97 <= c <= 122]
             if letters:
@@ -47,7 +54,7 @@ class TestTextGenerator:
                     all(c <= 90 for c in letters)
 
     def test_class_mix(self):
-        lower, upper, other = class_counts(generate_text(10_000, seed=0))
+        lower, upper, other = class_counts(_text(10_000, seed=0))
         total = lower + upper + other
         assert lower / total > 0.5       # mostly lower-case prose
         assert upper / total > 0.05      # some all-caps words
@@ -80,7 +87,7 @@ class TestMicrobenchVariants:
     N = 600
 
     def reference(self):
-        bench = build_microbench(self.N, variant="none", seed=5)
+        bench = _bench(self.N, variant="none", seed=5)
         return bench, reference_checksum(bench.text)
 
     def test_baseline_checksum(self):
@@ -97,7 +104,7 @@ class TestMicrobenchVariants:
         assert machine.marker_counts[END_MARKER] == 1
 
     def test_full_instrumentation_counts_edges(self):
-        bench = build_microbench(self.N, variant="full", seed=5)
+        bench = _bench(self.N, variant="full", seed=5)
         machine = run_bench(bench)
         checksum, counts = bench.read_results(machine)
         assert checksum == bench.expected_checksum
@@ -110,8 +117,8 @@ class TestMicrobenchVariants:
     @pytest.mark.parametrize("kind", ["cbs", "brr"])
     @pytest.mark.parametrize("variant", ["no-dup", "full-dup"])
     def test_sampled_variants_preserve_checksum(self, kind, variant):
-        bench = build_microbench(self.N, variant=variant, kind=kind,
-                                 interval=16, seed=5)
+        bench = _bench(self.N, variant=variant, kind=kind,
+                       interval=16, seed=5)
         unit = HardwareCounterUnit() if kind == "brr" else None
         machine = run_bench(bench, unit=unit)
         checksum, __ = bench.read_results(machine)
@@ -120,8 +127,8 @@ class TestMicrobenchVariants:
     def test_sampled_profile_proportions(self):
         """brr sampling at 1/8 with the LFSR collects a profile whose
         proportions track the full profile."""
-        bench = build_microbench(4000, variant="no-dup", kind="brr",
-                                 interval=8, seed=5)
+        bench = _bench(4000, variant="no-dup", kind="brr",
+                       interval=8, seed=5)
         machine = run_bench(bench, unit=BranchOnRandomUnit())
         __, counts = bench.read_results(machine)
         lower, upper, other = class_counts(bench.text)
@@ -132,38 +139,38 @@ class TestMicrobenchVariants:
         assert abs(sampled_share - true_share) < 0.1
 
     def test_framework_only_has_no_counts(self):
-        bench = build_microbench(self.N, variant="no-dup", kind="cbs",
-                                 interval=16, include_payload=False, seed=5)
+        bench = _bench(self.N, variant="no-dup", kind="cbs",
+                       interval=16, include_payload=False, seed=5)
         machine = run_bench(bench)
         checksum, counts = bench.read_results(machine)
         assert checksum == bench.expected_checksum
         assert counts == [0, 0, 0, 0]
 
     def test_variant_labels(self):
-        assert build_microbench(100, variant="none").variant == "none"
-        bench = build_microbench(100, variant="no-dup", kind="brr")
+        assert _bench(100, variant="none").variant == "none"
+        bench = _bench(100, variant="no-dup", kind="brr")
         assert bench.variant == "brr+no-dup"
         assert bench.interval == 1024
 
     def test_measured_sites(self):
-        bench = build_microbench(self.N, variant="none", seed=5)
+        bench = _bench(self.N, variant="none", seed=5)
         assert bench.measured_sites == site_encounters(
             bench.text[bench.warm_chars:])
 
     def test_explicit_text(self):
-        text = generate_text(200, seed=9)
-        bench = build_microbench(200, variant="none", text=text)
+        text = _text(200, seed=9)
+        bench = _bench(200, variant="none", text=text)
         assert bench.text == text
         with pytest.raises(ValueError):
-            build_microbench(100, variant="none", text=text)
+            _bench(100, variant="none", text=text)
 
     def test_sampled_needs_kind(self):
         with pytest.raises(ValueError):
-            build_microbench(100, variant="no-dup")
+            _bench(100, variant="no-dup")
 
     def test_code_size_ordering(self):
         """cbs adds more static code than brr (Figure 4's point)."""
-        none = build_microbench(self.N, variant="none", seed=5)
-        brr = build_microbench(self.N, variant="no-dup", kind="brr", seed=5)
-        cbs = build_microbench(self.N, variant="no-dup", kind="cbs", seed=5)
+        none = _bench(self.N, variant="none", seed=5)
+        brr = _bench(self.N, variant="no-dup", kind="brr", seed=5)
+        cbs = _bench(self.N, variant="no-dup", kind="cbs", seed=5)
         assert len(none.program) < len(brr.program) < len(cbs.program)
